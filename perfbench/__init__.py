@@ -1,0 +1,6 @@
+"""The repository benchmark: end-to-end workloads and an outside-in span trace.
+
+Run one workload with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; ``BENCHMARK.json``
+lists the workloads and metrics.
+"""
