@@ -17,10 +17,8 @@ import numpy as np
 from repro.admm.data import ComponentData
 from repro.admm.state import AdmmState
 from repro.parallel.backends import KernelBackend, get_backend
-from repro.parallel.kernels import elementwise_kernel
 
 
-@elementwise_kernel
 def generator_kernel(pg_copy: np.ndarray, qg_copy: np.ndarray,
                      z_p: np.ndarray, z_q: np.ndarray,
                      y_p: np.ndarray, y_q: np.ndarray,

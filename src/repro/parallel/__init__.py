@@ -35,7 +35,6 @@ from repro.parallel.backends import (
 from repro.parallel.compaction import ActiveSet, Workspace, compaction_enabled
 from repro.parallel.device import KernelRecord, SimulatedDevice, merge_device_dicts
 from repro.parallel.faults import FaultCommand, FaultPlan, FaultSpec
-from repro.parallel.kernels import elementwise_kernel, launch_over_elements
 from repro.parallel.pool import (
     ChunkFailure,
     DevicePool,
@@ -65,9 +64,7 @@ __all__ = [
     "available_backends",
     "compaction_enabled",
     "default_backend_name",
-    "elementwise_kernel",
     "get_backend",
-    "launch_over_elements",
     "merge_device_dicts",
     "register_backend",
     "solve_acopf_admm_pool",

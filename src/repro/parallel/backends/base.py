@@ -38,7 +38,7 @@ def check_aligned(arrays: tuple[np.ndarray, ...]) -> int:
     """Validate that kernel arguments share their leading dimension.
 
     Returns that shared length.  Shared by every backend so the
-    :func:`~repro.parallel.kernels.launch_over_elements` contract (at least
+    :meth:`KernelBackend.launch_over_elements` contract (at least
     one array, aligned leading axes) does not depend on the execution path.
     """
     if not arrays:

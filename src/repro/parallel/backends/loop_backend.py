@@ -4,9 +4,8 @@
 reassembles the results.  It exists purely for verification: if a kernel's
 per-element execution reproduces the vectorised sweep bitwise, the kernel
 really is element-wise (no cross-element data flow), so it could be launched
-verbatim as a CUDA kernel.  This recasts the old ``python_loop=True`` mode
-of :func:`repro.parallel.kernels.launch_over_elements` as a first-class
-backend covering the reductions and the batched linear algebra too.
+verbatim as a CUDA kernel.  It covers the reductions and the batched linear
+algebra too.
 
 It is registered as an *exact* backend: per-element slices of NumPy ufuncs,
 in-order accumulation (the order ``np.add.at`` / ``np.maximum.at`` use),

@@ -7,10 +7,18 @@ This module adds the next axis — many devices.  A :class:`DevicePool`
 shards a :class:`~repro.scenarios.ScenarioSet` into cost-balanced
 sub-batches, runs every shard through a
 :class:`~repro.admm.batch_solver.BatchAdmmSolver` on its own
-:class:`~repro.parallel.device.SimulatedDevice` (one ``multiprocessing``
-worker per device by default; an in-process sequential executor for
-determinism and debugging), and merges per-scenario results and device
-metrics back into one :class:`PoolReport` in the original batch order.
+:class:`~repro.parallel.device.SimulatedDevice`, and merges per-scenario
+results and device metrics back into one :class:`PoolReport` in the
+original batch order.
+
+**One loop, two transports.**  Every solve runs the same
+scheduler/recovery loop (:class:`_PoolRun`): it owns dispatch, the retry
+and respawn budgets, replay, and the merge.  Only the way a chunk reaches
+a worker differs.  The process transport (``executor="process"``, the
+default) runs one ``multiprocessing`` worker per device on a private
+pipe.  The inline transport (``executor="sequential"``) runs each chunk
+in-process the moment it is sent and plays injected faults as simulated
+events, for determinism and debugging.
 
 **Placement** is cost-aware: scenarios are partitioned by estimated element
 count (:meth:`~repro.scenarios.ScenarioSet.split`), not scenario count, so
@@ -23,18 +31,18 @@ from the most-loaded shard instead of going dark.
 
 **Fault tolerance.**  A long-lived fleet must survive its own workers.
 With ``on_failure="retry"`` (or ``"partial"``), a chunk lost to a worker
-exception, a worker-process death, or a stalled worker blowing its
-``chunk_timeout`` is *replayed*: the parent requeues the lost scenario
+exception, a worker death, or a stalled worker blowing its
+``chunk_timeout`` is *replayed*: the loop requeues the lost scenario
 indices into the scheduler (split in half when the chunk carried more than
 one scenario, so a poison scenario isolates itself on replay), bounded by a
-per-scenario ``max_retries`` budget; a dead or stalled worker process is
-respawned on the same queues — with exponential backoff — up to a
-``max_respawns`` budget.  Because scenarios never couple and warm states
-live with the parent (they ship inside every dispatched
-:class:`~repro.admm.batch_solver.ShardTask`), a replayed scenario's
-trajectory is bit-for-bit the one a failure-free run produces — recovery
-changes *where and when* a scenario runs, never its arithmetic.  The
-default ``on_failure="raise"`` keeps the fail-fast semantics: any chunk
+per-scenario ``max_retries`` budget; a lost worker — busy or idle — is
+respawned on the same queues up to a pool-wide ``max_respawns`` budget,
+and past it its pending shard goes to the survivors.  Because scenarios
+never couple and warm states live with the parent (they ship inside every
+dispatched :class:`~repro.admm.batch_solver.ShardTask`), a replayed
+scenario's trajectory is bit-for-bit the one a failure-free run produces —
+recovery changes *where and when* a scenario runs, never its arithmetic.
+The default ``on_failure="raise"`` keeps the fail-fast semantics: any chunk
 failure aborts the solve and surfaces every failed chunk in one aggregated
 :class:`PoolExecutionError`.  Deterministic fault injection for tests and
 CI lives in :mod:`repro.parallel.faults` (``REPRO_FAULT_PLAN``).
@@ -44,7 +52,8 @@ the one the single-device batched solve (and the standalone sequential
 solve) produces — sharding only changes *where* a scenario runs.
 
 **Makespan accounting.**  Each chunk's solve time is measured inside the
-worker; a worker's busy time is the sum of its chunks and the pool's
+worker; an injected stall shorter than the deadline is added to it on both
+transports.  A worker's busy time is the sum of its chunks and the pool's
 *makespan* is the largest per-worker busy time — the wall-clock a fleet of
 real devices would need, independent of how many CPU cores this host can
 actually dedicate to the worker processes.  ``wall_seconds`` records the
@@ -55,6 +64,7 @@ same simulated-hardware viewpoint as ``SimulatedDevice`` itself).
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from collections import deque
@@ -166,10 +176,10 @@ class WorkerStats:
 
 @dataclass
 class _RecoveryState:
-    """Executor-side accounting of the fault-tolerance machinery."""
+    """The scheduler loop's accounting of the fault-tolerance machinery."""
 
     retries: int = 0                 # replayed chunk dispatches enqueued
-    respawns: int = 0                # worker processes respawned (or simulated)
+    respawns: int = 0                # lost workers respawned
     replayed: set[int] = field(default_factory=set)   # scenarios replayed
     failures: list[ChunkFailure] = field(default_factory=list)
     failed: dict[int, ChunkFailure] = field(default_factory=dict)  # terminal
@@ -290,10 +300,6 @@ class _StealScheduler:
     def has_work(self) -> bool:
         return bool(self.replay) or self.n_pending > 0
 
-    @property
-    def has_replay(self) -> bool:
-        return bool(self.replay)
-
     def requeue(self, indices: Sequence[int], origin: int,
                 split: bool = True) -> None:
         """Hand a lost chunk's scenarios back for replay.
@@ -363,11 +369,13 @@ class DevicePool:
         Devices in the pool (default: the host CPU count).  A solve never
         uses more workers than it has scenarios.
     executor:
-        ``"process"`` (default) runs each device in its own
-        ``multiprocessing`` worker; ``"sequential"`` runs the identical
-        scheduler in-process, one chunk at a time, for determinism and
-        debugging (results are identical either way — only wall-clock and
-        the busy-time measurements differ).
+        The transport under the one scheduler loop.  ``"process"``
+        (default) runs each device in its own ``multiprocessing`` worker
+        on a private pipe.  ``"sequential"`` runs each chunk in-process
+        the moment it is dispatched and serves the least-busy simulated
+        worker next, for determinism and debugging.  Results are
+        identical either way; only wall-clock and the busy-time
+        measurements differ.
     placement:
         ``"cost"`` (default) balances the initial shards by estimated
         element count; ``"count"`` by scenario count.
@@ -405,11 +413,12 @@ class DevicePool:
         (default 2).  A worker lost beyond the budget stays dead and its
         pending shard is redistributed to the survivors.
     chunk_timeout:
-        Wall-clock seconds a dispatched chunk may run before its worker is
-        declared lost, terminated, and the chunk replayed (default
-        ``None``: no deadline).  The process executor enforces it for
-        real; the sequential executor cannot interrupt itself and applies
-        it only to injected stalls.
+        Seconds a dispatched chunk may run before its worker is declared
+        lost, terminated, and the chunk replayed (default ``None``: no
+        deadline).  The process transport enforces it on the wall clock;
+        the in-process transport cannot interrupt a running chunk and
+        applies it to injected stalls only.  A stall within the deadline
+        is a delay on both: it counts as busy time.
     respawn_backoff:
         Base seconds of the exponential backoff before respawning a lost
         worker (``backoff · 2^k`` for that worker's ``k``-th respawn;
@@ -418,7 +427,7 @@ class DevicePool:
         A :class:`~repro.parallel.faults.FaultPlan` of scripted failures,
         consulted at every dispatch (default: the plan scripted by the
         ``REPRO_FAULT_PLAN`` environment variable, or none).  Injection is
-        parent-side deterministic, so both executors replay identical
+        parent-side deterministic, so both transports replay identical
         fault schedules.
     """
 
@@ -537,15 +546,9 @@ class DevicePool:
                      n_scenarios, workers, self.executor, shards, chunk)
 
         start = time.perf_counter()
-        if self.executor == "sequential":
-            result = self._run_sequential(scenario_set, params, time_limit,
-                                          scheduler, workers, warm_states,
-                                          penalties)
-        else:
-            run = _ProcessRun(self, scenario_set, params, time_limit,
-                              scheduler, workers, warm_states, penalties)
-            result = run.run()
-        solutions, chunks, worker_devices, recovery = result
+        solutions, chunks, worker_devices, recovery = _PoolRun(
+            self, scenario_set, params, time_limit, scheduler, workers,
+            warm_states, penalties).run()
         wall = time.perf_counter() - start
 
         if recovery.failed and self.on_failure != "partial":
@@ -625,35 +628,6 @@ class DevicePool:
         return [sorted(shard) for shard in shards]
 
     # ------------------------------------------------------------------ #
-    def _resolve_solve_fn(self) -> Callable:
-        if self._solve_fn is not None:
-            return self._solve_fn
-        from repro.admm.batch_solver import solve_scenario_shard
-        return solve_scenario_shard
-
-    def _make_task(self, scenario_set: ScenarioSet, params,
-                   time_limit: float | None, indices: tuple[int, ...],
-                   worker: int, warm_states=None, penalties=None):
-        from repro.admm.batch_solver import ShardTask
-        return ShardTask(
-            indices=indices,
-            scenarios=scenario_set.subset(indices),
-            params=params,
-            time_limit=None if time_limit is None else time_limit * len(indices),
-            warm_states=(None if warm_states is None
-                         else tuple(warm_states[i] for i in indices)),
-            device_name=f"worker{worker}",
-            penalties=(None if penalties is None
-                       else tuple(penalties[i] for i in indices)))
-
-    def _chunk_failure(self, scenario_set: ScenarioSet, worker: int,
-                       indices: tuple[int, ...], kind: str, detail: str,
-                       attempt: int) -> ChunkFailure:
-        return ChunkFailure(
-            worker=worker, indices=tuple(indices),
-            scenario_names=tuple(scenario_set[i].name for i in indices),
-            kind=kind, detail=detail, attempt=attempt)
-
     @staticmethod
     def _failure_error(recovery: _RecoveryState) -> PoolExecutionError:
         """Aggregate *every* failed chunk into one raisable error."""
@@ -671,149 +645,9 @@ class DevicePool:
             indices=failed, scenario_names=names,
             failures=tuple(recovery.failures))
 
-    def _register_failure(self, recovery: _RecoveryState,
-                          scheduler: _StealScheduler,
-                          failure: ChunkFailure, origin: int,
-                          attempts: dict[int, int]) -> bool:
-        """Account one failed chunk; requeue survivors.  True = abort run."""
-        recovery.failures.append(failure)
-        LOGGER.warning("pool: %s", failure.describe())
-        if self.on_failure == "raise":
-            for i in failure.indices:
-                recovery.failed[i] = failure
-            return True
-        survivors, exhausted = [], []
-        for i in failure.indices:
-            attempts[i] = attempts.get(i, 0) + 1
-            (survivors if attempts[i] <= self.max_retries else exhausted).append(i)
-        for i in exhausted:
-            recovery.failed[i] = failure
-        if survivors:
-            scheduler.requeue(tuple(survivors), origin)
-            recovery.retries += 1
-            recovery.replayed.update(survivors)
-            LOGGER.info("pool: replaying scenarios %s (attempt %d)",
-                        survivors, max(attempts[i] for i in survivors))
-        return False
-
-    def _drain_lost(self, recovery: _RecoveryState, scheduler: _StealScheduler,
-                    scenario_set: ScenarioSet, attempts: dict[int, int]) -> None:
-        """No runnable worker left: everything unserved is terminally lost."""
-        for indices, origin in scheduler.drain():
-            failure = self._chunk_failure(
-                scenario_set, origin, indices, "lost",
-                "no workers left alive to run the chunk "
-                "(respawn budget exhausted)",
-                max((attempts.get(i, 0) for i in indices), default=0))
-            recovery.failures.append(failure)
-            for i in indices:
-                recovery.failed[i] = failure
-
-    # ------------------------------------------------------------------ #
-    def _run_sequential(self, scenario_set: ScenarioSet, params,
-                        time_limit: float | None, scheduler: _StealScheduler,
-                        workers: int, warm_states=None, penalties=None):
-        """In-process executor: same scheduler, simulated worker clocks.
-
-        Chunks run one at a time, so each chunk's measured seconds are
-        contention-free; dispatch order follows the simulated clocks (the
-        worker with the least accumulated busy time is served next), which
-        reproduces the process executor's scheduling decisions
-        deterministically.  Fault recovery is simulated in-process: an
-        injected ``crash`` plays as a worker death (counted against the
-        respawn budget), an injected ``stall`` longer than ``chunk_timeout``
-        as a timeout loss — so every recovery path is exercisable without
-        real processes.
-        """
-        solve_fn = self._resolve_solve_fn()
-        solutions: list = [None] * len(scenario_set)
-        chunks: list[ChunkRecord] = []
-        worker_devices: dict[int, list[dict]] = {w: [] for w in range(workers)}
-        recovery = _RecoveryState()
-        clocks = [0.0] * workers
-        dark = [False] * workers
-        dead = [False] * workers
-        dispatch_count = [0] * workers
-        attempts: dict[int, int] = {}
-        abort = False
-
-        while True:
-            if scheduler.has_replay and not abort:
-                # replay work is servable by anyone: wake the dark workers
-                for w in range(workers):
-                    if dark[w] and not dead[w]:
-                        dark[w] = False
-            candidates = [w for w in range(workers) if not dark[w] and not dead[w]]
-            if not candidates:
-                break
-            worker = min(candidates, key=lambda w: (clocks[w], w))
-            assignment = None if abort else scheduler.next_chunk(worker)
-            if assignment is None:
-                dark[worker] = True
-                continue
-            indices, origin, stolen = assignment
-            attempt = max((attempts.get(i, 0) for i in indices), default=0)
-            dispatch_count[worker] += 1
-            command = (self.fault_plan.draw(worker, dispatch_count[worker], indices)
-                       if self.fault_plan is not None else None)
-
-            kind = detail = None
-            stall_seconds = 0.0
-            result = None
-            if command is not None and command.kind == "crash":
-                kind = "death"
-                detail = ("worker process died without reporting a result "
-                          "(injected crash, simulated in-process)")
-            elif (command is not None and command.kind == "stall"
-                    and self.chunk_timeout is not None
-                    and command.seconds > self.chunk_timeout):
-                kind = "timeout"
-                detail = (f"worker stalled {command.seconds:.1f}s past the "
-                          f"{self.chunk_timeout:.1f}s chunk deadline "
-                          "(injected stall, simulated in-process)")
-            else:
-                if command is not None and command.kind == "stall":
-                    stall_seconds = command.seconds  # sub-deadline stall: delay only
-                try:
-                    if command is not None and command.kind == "raise":
-                        raise RuntimeError("injected fault: raise")
-                    result = solve_fn(self._make_task(
-                        scenario_set, params, time_limit, indices, worker,
-                        warm_states, penalties))
-                except Exception as exc:
-                    kind, detail = "error", repr(exc)
-
-            if kind is None:
-                for index, solution in zip(result.indices, result.solutions):
-                    solutions[index] = solution
-                worker_devices[worker].append(result.device)
-                chunks.append(ChunkRecord(worker=worker, indices=indices,
-                                          origin=origin, stolen=stolen,
-                                          seconds=result.seconds + stall_seconds,
-                                          attempt=attempt))
-                clocks[worker] += result.seconds + stall_seconds
-                continue
-
-            failure = self._chunk_failure(scenario_set, worker, indices, kind,
-                                          detail, attempt)
-            abort = self._register_failure(recovery, scheduler, failure,
-                                           origin, attempts)
-            if not abort and kind in ("death", "timeout"):
-                # the simulated worker is gone; "respawn" it unless the
-                # budget ran out, in which case its shard is orphaned
-                if recovery.respawns < self.max_respawns:
-                    recovery.respawns += 1
-                else:
-                    dead[worker] = True
-                    scheduler.orphan(worker)
-
-        if not abort and scheduler.has_work:
-            self._drain_lost(recovery, scheduler, scenario_set, attempts)
-        return solutions, chunks, worker_devices, recovery
-
 
 # --------------------------------------------------------------------- #
-# Process executor                                                       #
+# The scheduler/recovery loop                                            #
 # --------------------------------------------------------------------- #
 @dataclass
 class _Dispatch:
@@ -824,24 +658,301 @@ class _Dispatch:
     origin: int
     stolen: bool
     attempt: int
-    deadline: float | None    # monotonic instant the chunk is declared lost
+    stall: float = 0.0        # injected sub-deadline stall: busy time too
 
 
-class _ProcessRun:
-    """One multiprocessing pool execution, with replay/respawn recovery.
+class _PoolRun:
+    """One pooled solve: the scheduler/recovery loop over a transport.
 
-    The parent is the scheduler: it dispatches chunks and collects
-    :class:`ShardResult`s (or error reports) over one **private duplex
-    pipe per worker**, re-dispatching — replay queue first, own shard
-    next, then stealing — as each worker reports back.  A worker that dies
-    without reporting is detected by liveness polling; one that stalls past
-    ``chunk_timeout`` is terminated.  Both lose their chunk to the replay
-    machinery and are respawned (fresh ``Process`` on a fresh pipe,
-    exponential backoff) within the ``max_respawns`` budget.  Every
-    dispatch carries a monotonically increasing *tag*; a result whose tag
-    does not match the worker's current dispatch is a late arrival from a
-    worker already declared lost and is dropped — its chunk is replayed (or
-    already failed), so dropping the buffered payload cannot lose work.
+    The loop hands every idle worker its next chunk (replay queue first,
+    own shard next, then stealing), stamps each dispatch with a unique
+    *tag*, and consumes the transport's events, each a ``(worker, tag,
+    kind, payload)`` tuple:
+
+    * ``"ok"`` / ``"error"`` / ``"fatal"`` — the worker reported on
+      dispatch ``tag`` (a :class:`ShardResult`, or a traceback; ``"fatal"``
+      means the worker also left its loop).  A tag that does not match the
+      worker's current dispatch is a late arrival from a worker already
+      declared lost and is dropped — its chunk was replayed or recorded
+      failed, so dropping it cannot lose work.
+    * ``"death"`` / ``"timeout"`` — the worker is lost, busy or idle; a
+      chunk it was running fails with that kind.
+    * ``"up"`` — a respawned worker is ready for work.
+
+    Everything else is the loop's: retry budgets and chunk splitting, the
+    pool-wide respawn budget, orphaning a dead worker's shard, the
+    fail-fast abort, and the merge into solutions and chunk records.  The
+    transport only moves tasks and reports what happened to them.
+    """
+
+    def __init__(self, pool: DevicePool, scenario_set: ScenarioSet, params,
+                 time_limit: float | None, scheduler: _StealScheduler,
+                 workers: int, warm_states=None, penalties=None) -> None:
+        self.pool = pool
+        self.scenario_set = scenario_set
+        self.params = params
+        self.time_limit = time_limit
+        self.scheduler = scheduler
+        self.workers = workers
+        self.warm_states = warm_states
+        self.penalties = penalties
+        solve_fn = pool._solve_fn
+        if solve_fn is None:
+            from repro.admm.batch_solver import solve_scenario_shard as solve_fn
+        transport = (_InlineTransport if pool.executor == "sequential"
+                     else _ProcessTransport)
+        self.transport = transport(pool, workers, solve_fn)
+
+        self.solutions: list = [None] * len(scenario_set)
+        self.records: dict[int, ChunkRecord] = {}   # by dispatch tag
+        self.worker_devices: dict[int, list[dict]] = {w: [] for w in range(workers)}
+        self.recovery = _RecoveryState()
+        self.outstanding: dict[int, _Dispatch] = {}
+        self.parked: set[int] = set()        # idle workers, alive
+        self.restarting: set[int] = set()    # lost workers awaiting "up"
+        self.dispatch_count = [0] * workers
+        self.attempts: dict[int, int] = {}
+        self.abort = False
+        self.next_tag = 0
+
+    def run(self):
+        self.transport.open()
+        try:
+            for worker in range(self.workers):
+                self._dispatch(worker)
+            while True:
+                self._feed_parked()
+                if not self.outstanding and not self.restarting:
+                    break
+                for event in self.transport.events():
+                    self._handle(*event)
+        finally:
+            self.transport.close()
+        if not self.abort and self.scheduler.has_work:
+            self._drain_lost()
+        chunks = [self.records[tag] for tag in sorted(self.records)]
+        return self.solutions, chunks, self.worker_devices, self.recovery
+
+    # -------------------------------------------------------------- #
+    def _dispatch(self, worker: int) -> None:
+        """Hand ``worker`` its next chunk, or park it until work appears."""
+        assignment = None if self.abort else self.scheduler.next_chunk(worker)
+        if assignment is None:
+            self.parked.add(worker)
+            return
+        self.parked.discard(worker)
+        indices, origin, stolen = assignment
+        attempt = max((self.attempts.get(i, 0) for i in indices), default=0)
+        self.dispatch_count[worker] += 1
+        command = None
+        if self.pool.fault_plan is not None:
+            command = self.pool.fault_plan.draw(
+                worker, self.dispatch_count[worker], indices)
+        stalled = command is not None and command.kind == "stall"
+        self.next_tag += 1
+        self.outstanding[worker] = _Dispatch(
+            tag=self.next_tag, indices=indices, origin=origin, stolen=stolen,
+            attempt=attempt, stall=command.seconds if stalled else 0.0)
+        self.transport.send(worker, self.next_tag, self._task(indices, worker),
+                            command)
+
+    def _task(self, indices: tuple[int, ...], worker: int):
+        from repro.admm.batch_solver import ShardTask
+        return ShardTask(
+            indices=indices,
+            scenarios=self.scenario_set.subset(indices),
+            params=self.params,
+            time_limit=(None if self.time_limit is None
+                        else self.time_limit * len(indices)),
+            warm_states=(None if self.warm_states is None
+                         else tuple(self.warm_states[i] for i in indices)),
+            device_name=f"worker{worker}",
+            penalties=(None if self.penalties is None
+                       else tuple(self.penalties[i] for i in indices)))
+
+    def _feed_parked(self) -> None:
+        if self.abort:
+            return
+        for worker in sorted(self.parked):
+            if not self.scheduler.has_work:
+                return
+            self._dispatch(worker)
+
+    # -------------------------------------------------------------- #
+    def _handle(self, worker: int, tag: int | None, kind: str, payload) -> None:
+        if kind == "up":
+            self.restarting.discard(worker)
+            self._dispatch(worker)
+            return
+        if kind in ("death", "timeout"):
+            dispatch = self.outstanding.pop(worker, None)
+            if dispatch is not None:
+                self._fail(worker, dispatch, kind, payload)
+            self._lose(worker)
+            return
+        dispatch = self.outstanding.get(worker)
+        if dispatch is None or dispatch.tag != tag:
+            LOGGER.debug("pool: dropping stale result tag=%s from worker %d",
+                         tag, worker)
+            return
+        del self.outstanding[worker]
+        if kind == "ok":
+            for index, solution in zip(payload.indices, payload.solutions):
+                self.solutions[index] = solution
+            self.worker_devices[worker].append(payload.device)
+            self.records[tag] = ChunkRecord(
+                worker=worker, indices=dispatch.indices, origin=dispatch.origin,
+                stolen=dispatch.stolen, seconds=payload.seconds + dispatch.stall,
+                attempt=dispatch.attempt)
+            self._dispatch(worker)
+            return
+        self._fail(worker, dispatch, "error", str(payload))
+        if kind == "fatal":
+            self._lose(worker)
+        else:
+            self._dispatch(worker)
+
+    def _failure(self, worker: int, indices: tuple[int, ...], kind: str,
+                 detail: str, attempt: int) -> ChunkFailure:
+        return ChunkFailure(
+            worker=worker, indices=tuple(indices),
+            scenario_names=tuple(self.scenario_set[i].name for i in indices),
+            kind=kind, detail=detail, attempt=attempt)
+
+    def _fail(self, worker: int, dispatch: _Dispatch, kind: str,
+              detail: str) -> None:
+        """Account one failed chunk: requeue survivors, or abort the run."""
+        failure = self._failure(worker, dispatch.indices, kind, detail,
+                                dispatch.attempt)
+        self.recovery.failures.append(failure)
+        LOGGER.warning("pool: %s", failure.describe())
+        if self.pool.on_failure == "raise":
+            for i in failure.indices:
+                self.recovery.failed[i] = failure
+            self.abort = True
+            return
+        survivors = []
+        for i in failure.indices:
+            self.attempts[i] = self.attempts.get(i, 0) + 1
+            if self.attempts[i] <= self.pool.max_retries:
+                survivors.append(i)
+            else:
+                self.recovery.failed[i] = failure
+        if survivors:
+            self.scheduler.requeue(tuple(survivors), dispatch.origin)
+            self.recovery.retries += 1
+            self.recovery.replayed.update(survivors)
+            LOGGER.info("pool: replaying scenarios %s (attempt %d)",
+                        survivors, max(self.attempts[i] for i in survivors))
+
+    def _lose(self, worker: int) -> None:
+        """Retire a lost worker; respawn it within budget, else orphan its shard."""
+        self.transport.retire(worker)
+        self.parked.discard(worker)
+        if self.abort or self.recovery.respawns >= self.pool.max_respawns:
+            if not self.abort:
+                self.scheduler.orphan(worker)
+            return
+        self.recovery.respawns += 1
+        self.restarting.add(worker)
+        self.transport.respawn(worker)
+        LOGGER.info("pool: respawning worker %d (respawn %d/%d)", worker,
+                    self.recovery.respawns, self.pool.max_respawns)
+
+    def _drain_lost(self) -> None:
+        """No runnable worker left: everything unserved is terminally lost."""
+        for indices, origin in self.scheduler.drain():
+            failure = self._failure(
+                origin, indices, "lost",
+                "no workers left alive to run the chunk "
+                "(respawn budget exhausted)",
+                max((self.attempts.get(i, 0) for i in indices), default=0))
+            self.recovery.failures.append(failure)
+            for i in indices:
+                self.recovery.failed[i] = failure
+
+
+# --------------------------------------------------------------------- #
+# Transports                                                             #
+# --------------------------------------------------------------------- #
+class _InlineTransport:
+    """In-process transport (``executor="sequential"``): simulated workers.
+
+    A chunk runs the moment it is sent, one at a time, so its measured
+    seconds are contention-free.  The parent-drawn :class:`FaultCommand`
+    plays as a simulated event: a crash as a worker death, a stall longer
+    than ``chunk_timeout`` as a timeout, a shorter stall as a delay on the
+    worker's busy clock, a raise as an error.  Events come back one at a
+    time in the order of each worker's simulated busy clock, ties to the
+    lowest worker id — the least-busy worker is served next — so the
+    process transport's scheduling is reproduced deterministically.  A
+    respawn is immediate.
+    """
+
+    def __init__(self, pool: DevicePool, workers: int, solve_fn: Callable) -> None:
+        self.solve_fn = solve_fn
+        self.chunk_timeout = pool.chunk_timeout
+        self.clocks = [0.0] * workers
+        self.done: list = []   # heap of (busy clock, worker, tag, kind, payload)
+
+    def open(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    def retire(self, worker: int) -> None:
+        pass
+
+    def respawn(self, worker: int) -> None:
+        self._deliver(worker, None, "up", None)
+
+    def send(self, worker: int, tag: int, task, fault: FaultCommand | None) -> None:
+        fault_kind = fault.kind if fault is not None else None
+        if fault_kind == "crash":
+            self._deliver(worker, tag, "death",
+                          "worker process died without reporting a result "
+                          "(injected crash, simulated in-process)")
+            return
+        if (fault_kind == "stall" and self.chunk_timeout is not None
+                and fault.seconds > self.chunk_timeout):
+            self._deliver(worker, tag, "timeout",
+                          f"worker stalled {fault.seconds:.1f}s past the "
+                          f"{self.chunk_timeout:.1f}s chunk deadline "
+                          "(injected stall, simulated in-process)")
+            return
+        try:
+            if fault_kind == "raise":
+                raise RuntimeError("injected fault: raise")
+            result = self.solve_fn(task)
+        except Exception as exc:
+            self._deliver(worker, tag, "error", repr(exc))
+            return
+        stall = fault.seconds if fault_kind == "stall" else 0.0
+        self.clocks[worker] += result.seconds + stall
+        self._deliver(worker, tag, "ok", result)
+
+    def _deliver(self, worker: int, tag, kind: str, payload) -> None:
+        # one entry per worker at a time, so (clock, worker) never ties
+        heapq.heappush(self.done, (self.clocks[worker], worker, tag, kind, payload))
+
+    def events(self):
+        _, worker, tag, kind, payload = heapq.heappop(self.done)
+        return ((worker, tag, kind, payload),)
+
+
+class _ProcessTransport:
+    """Multiprocessing transport (``executor="process"``): real workers.
+
+    Each worker is a ``multiprocessing`` process running
+    :func:`_pool_worker` on **one private duplex pipe**; every envelope
+    carries the dispatch tag, which the worker echoes back.  A worker
+    whose process dies or whose pipe reaches EOF is reported lost, whether
+    it was busy or idle; one that stalls past ``chunk_timeout`` is
+    reported timed out.  The loop then retires it (terminate, close the
+    pipe) and may respawn it: a fresh ``Process`` on a fresh pipe after an
+    exponential backoff (``respawn_backoff · 2^k`` for that slot's
+    ``k``-th respawn).
 
     Pipes, not ``multiprocessing.Queue``s, are load-bearing for fault
     tolerance: a shared queue multiplexes writers through one shared write
@@ -854,59 +965,31 @@ class _ProcessRun:
     replaced on respawn.
     """
 
-    #: result-queue poll granularity (also bounds deadline/respawn latency)
+    #: result poll granularity (also bounds deadline/respawn latency)
     POLL_SECONDS = 0.25
     #: shared wall-clock budget of the shutdown join across *all* workers
     JOIN_SECONDS = 30.0
 
-    def __init__(self, pool: DevicePool, scenario_set: ScenarioSet, params,
-                 time_limit: float | None, scheduler: _StealScheduler,
-                 workers: int, warm_states, penalties=None) -> None:
+    def __init__(self, pool: DevicePool, workers: int, solve_fn: Callable) -> None:
         self.pool = pool
-        self.scenario_set = scenario_set
-        self.params = params
-        self.time_limit = time_limit
-        self.scheduler = scheduler
         self.workers = workers
-        self.warm_states = warm_states
-        self.penalties = penalties
-        self.solve_fn = pool._resolve_solve_fn()
-
-        self.solutions: list = [None] * len(scenario_set)
-        self.chunks: list[ChunkRecord] = []
-        self.worker_devices: dict[int, list[dict]] = {w: [] for w in range(workers)}
-        self.recovery = _RecoveryState()
-        self.outstanding: dict[int, _Dispatch] = {}
-        self.parked: set[int] = set()
-        self.dead = [False] * workers
+        self.solve_fn = solve_fn
+        self.processes: list = [None] * workers
+        self.conns: list = [None] * workers
+        self.retired: list = []     # replaced/terminated processes to join
+        self.deadlines: dict[int, float] = {}
         self.respawn_at: dict[int, float] = {}
         self.worker_respawns = [0] * workers
-        self.dispatch_count = [0] * workers
-        self.attempts: dict[int, int] = {}
-        self.abort = False
-        self.next_tag = 0
-        self.retired: list = []     # replaced/terminated processes to join
 
-    # -------------------------------------------------------------- #
-    def run(self):
+    def open(self) -> None:
         import multiprocessing as mp
 
         method = self.pool.start_method
         if method is None:
             method = "fork" if "fork" in mp.get_all_start_methods() else None
         self.context = mp.get_context(method)
-        self.processes = [None] * self.workers
-        self.conns = [None] * self.workers
         for worker in range(self.workers):
             self._start_worker(worker)
-        try:
-            self._loop()
-        finally:
-            self._shutdown()
-        if not self.abort and self.scheduler.has_work:
-            self.pool._drain_lost(self.recovery, self.scheduler,
-                                  self.scenario_set, self.attempts)
-        return self.solutions, self.chunks, self.worker_devices, self.recovery
 
     def _start_worker(self, worker: int) -> None:
         """(Re)start ``worker`` on a fresh process and a fresh private pipe."""
@@ -922,31 +1005,70 @@ class _ProcessRun:
         # the moment the worker process is gone
         child_conn.close()
 
-    # -------------------------------------------------------------- #
-    def _loop(self) -> None:
-        for worker in range(self.workers):
-            self._dispatch(worker)
-        while True:
-            self._feed_parked()
-            if not self.outstanding and not self.respawn_at:
-                if self.abort or not self.scheduler.has_work:
-                    return
-                if not self._any_runnable():
-                    return  # run() drains the unservable remainder
-            self._pump_results(self._poll_timeout())
-            self._check_liveness()
-            self._check_deadlines()
-            self._do_respawns()
+    def send(self, worker: int, tag: int, task, fault: FaultCommand | None) -> None:
+        if self.pool.chunk_timeout is not None:
+            self.deadlines[worker] = time.monotonic() + self.pool.chunk_timeout
+        conn = self.conns[worker]
+        if conn is None:
+            return  # pipe already down: the liveness poll reports the loss
+        try:
+            conn.send((tag, task, fault))
+        except (BrokenPipeError, OSError):
+            # the worker died between scheduling and send: the liveness
+            # poll turns it into a death and the chunk replays
+            self._retire_conn(worker)
 
-    def _pump_results(self, timeout: float) -> None:
+    def retire(self, worker: int) -> None:
+        """Terminate ``worker`` if still running; corruption dies with the pipe."""
+        process = self.processes[worker]
+        if process is not None:
+            if process.is_alive():
+                process.terminate()
+            self.retired.append(process)
+            self.processes[worker] = None
+        self.deadlines.pop(worker, None)
+        self._retire_conn(worker)
+
+    def respawn(self, worker: int) -> None:
+        backoff = self.pool.respawn_backoff * (2 ** self.worker_respawns[worker])
+        self.worker_respawns[worker] += 1
+        self.respawn_at[worker] = time.monotonic() + backoff
+
+    def _retire_conn(self, worker: int) -> None:
+        conn = self.conns[worker]
+        if conn is not None:
+            try:
+                conn.close()
+            except OSError:
+                pass
+            self.conns[worker] = None
+
+    # -------------------------------------------------------------- #
+    def events(self):
+        """Yield the events of one poll round.
+
+        A generator on purpose: the loop handles each event before the
+        next check runs, so a worker it has just retired (after a
+        ``"fatal"`` report, say) is not reported lost a second time.
+        """
+        yield from self._pump_results(self._poll_timeout())
+        yield from self._check_liveness()
+        yield from self._check_deadlines()
+        yield from self._do_respawns()
+
+    def _poll_timeout(self) -> float:
+        now = time.monotonic()
+        return max(0.01, min([self.POLL_SECONDS,
+                              *(when - now for when in self.deadlines.values()),
+                              *(when - now for when in self.respawn_at.values())]))
+
+    def _pump_results(self, timeout: float):
         """Wait on every live worker pipe; drain all buffered results.
 
         Results already buffered on a pipe are always consumed before the
         liveness poll runs, so a result that *did* arrive is never raced by
-        a death verdict.  A pipe that reports EOF is retired here (closed,
-        slot set to ``None``) and the process's fate is left to
-        :meth:`_check_liveness` — the pipe going down and the worker's death
-        verdict are the same event, only detected on different channels.
+        a death verdict.  A pipe that reports EOF is retired here and the
+        liveness poll reports its worker lost.
         """
         from multiprocessing import connection as mp_connection
 
@@ -965,173 +1087,38 @@ class _ProcessRun:
                 except (EOFError, OSError):
                     self._retire_conn(worker)
                     break
-                self._handle_result(*message)
+                self.deadlines.pop(worker, None)
+                yield message
 
-    def _retire_conn(self, worker: int) -> None:
-        conn = self.conns[worker]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self.conns[worker] = None
+    def _check_liveness(self):
+        for worker, process in enumerate(self.processes):
+            if process is None:
+                continue
+            if self.conns[worker] is None or not process.is_alive():
+                process.join(timeout=0.1)  # a pipe can hit EOF just before exit
+                yield (worker, None, "death",
+                       "worker process died without reporting a result "
+                       f"(exit code {process.exitcode})")
 
-    def _any_runnable(self) -> bool:
-        return any(not self.dead[w] for w in range(self.workers))
-
-    def _poll_timeout(self) -> float:
-        timeout = self.POLL_SECONDS
+    def _check_deadlines(self):
         now = time.monotonic()
-        for dispatch in self.outstanding.values():
-            if dispatch.deadline is not None:
-                timeout = min(timeout, dispatch.deadline - now)
-        for when in self.respawn_at.values():
-            timeout = min(timeout, when - now)
-        return max(0.01, timeout)
+        for worker, deadline in list(self.deadlines.items()):
+            if now > deadline:
+                del self.deadlines[worker]
+                yield (worker, None, "timeout",
+                       f"worker stalled past the {self.pool.chunk_timeout:.1f}s "
+                       "chunk deadline and was terminated")
 
-    # -------------------------------------------------------------- #
-    def _dispatch(self, worker: int) -> None:
-        """Hand ``worker`` its next chunk, or park it until work appears."""
-        if self.dead[worker] or worker in self.respawn_at:
-            return
-        assignment = None if self.abort else self.scheduler.next_chunk(worker)
-        if assignment is None:
-            self.parked.add(worker)
-            return
-        self.parked.discard(worker)
-        indices, origin, stolen = assignment
-        attempt = max((self.attempts.get(i, 0) for i in indices), default=0)
-        self.dispatch_count[worker] += 1
-        command = None
-        if self.pool.fault_plan is not None:
-            command = self.pool.fault_plan.draw(
-                worker, self.dispatch_count[worker], indices)
-        self.next_tag += 1
-        deadline = (None if self.pool.chunk_timeout is None
-                    else time.monotonic() + self.pool.chunk_timeout)
-        self.outstanding[worker] = _Dispatch(
-            tag=self.next_tag, indices=indices, origin=origin, stolen=stolen,
-            attempt=attempt, deadline=deadline)
-        task = self.pool._make_task(self.scenario_set, self.params,
-                                    self.time_limit, indices, worker,
-                                    self.warm_states, self.penalties)
-        try:
-            self.conns[worker].send((self.next_tag, task, command))
-        except (BrokenPipeError, OSError):
-            # the worker died between scheduling and send: leave the
-            # dispatch outstanding — the liveness poll turns it into a
-            # death failure and the chunk replays
-            self._retire_conn(worker)
-
-    def _feed_parked(self) -> None:
-        if self.abort:
-            return
-        for worker in sorted(self.parked):
-            if not self.scheduler.has_work:
-                return
-            if worker in self.outstanding:
-                continue
-            self._dispatch(worker)
-
-    # -------------------------------------------------------------- #
-    def _handle_result(self, worker: int, tag: int, kind: str, payload) -> None:
-        dispatch = self.outstanding.get(worker)
-        if dispatch is None or dispatch.tag != tag:
-            # late-arriving result from a worker already declared lost (its
-            # chunk was requeued or recorded failed): drop the buffered
-            # payload — replay re-derives the identical solutions
-            LOGGER.debug("pool: dropping stale result tag=%d from worker %d",
-                         tag, worker)
-            return
-        del self.outstanding[worker]
-        if kind == "ok":
-            for index, solution in zip(payload.indices, payload.solutions):
-                self.solutions[index] = solution
-            self.worker_devices[worker].append(payload.device)
-            self.chunks.append(ChunkRecord(
-                worker=worker, indices=dispatch.indices, origin=dispatch.origin,
-                stolen=dispatch.stolen, seconds=payload.seconds,
-                attempt=dispatch.attempt))
-            self._dispatch(worker)
-            return
-        failure = self.pool._chunk_failure(
-            self.scenario_set, worker, dispatch.indices, "error", str(payload),
-            dispatch.attempt)
-        self.abort |= self.pool._register_failure(
-            self.recovery, self.scheduler, failure, dispatch.origin,
-            self.attempts)
-        if kind == "fatal":
-            # the worker reported a non-Exception exit and left its loop:
-            # treat the process as lost without waiting for the liveness poll
-            self._worker_lost(worker)
-        else:
-            self._dispatch(worker)
-
-    def _check_liveness(self) -> None:
-        for worker in list(self.outstanding):
-            process = self.processes[worker]
-            if process.is_alive():
-                continue
-            dispatch = self.outstanding.pop(worker)
-            failure = self.pool._chunk_failure(
-                self.scenario_set, worker, dispatch.indices, "death",
-                "worker process died without reporting a result "
-                f"(exit code {process.exitcode})", dispatch.attempt)
-            self.abort |= self.pool._register_failure(
-                self.recovery, self.scheduler, failure, dispatch.origin,
-                self.attempts)
-            self._worker_lost(worker)
-
-    def _check_deadlines(self) -> None:
-        if self.pool.chunk_timeout is None:
-            return
-        now = time.monotonic()
-        for worker in list(self.outstanding):
-            dispatch = self.outstanding[worker]
-            if dispatch.deadline is None or now <= dispatch.deadline:
-                continue
-            del self.outstanding[worker]
-            failure = self.pool._chunk_failure(
-                self.scenario_set, worker, dispatch.indices, "timeout",
-                f"worker stalled past the {self.pool.chunk_timeout:.1f}s "
-                "chunk deadline and was terminated", dispatch.attempt)
-            self.abort |= self.pool._register_failure(
-                self.recovery, self.scheduler, failure, dispatch.origin,
-                self.attempts)
-            self._worker_lost(worker, terminate=True)
-
-    def _worker_lost(self, worker: int, terminate: bool = False) -> None:
-        """Retire a dead/stalled worker; respawn within budget."""
-        process = self.processes[worker]
-        if terminate and process.is_alive():
-            process.terminate()
-        self.retired.append(process)
-        self._retire_conn(worker)   # corruption dies with the pipe
-        self.parked.discard(worker)
-        if self.abort or self.recovery.respawns >= self.pool.max_respawns:
-            self.dead[worker] = True
-            if not self.abort:
-                self.scheduler.orphan(worker)
-            return
-        self.recovery.respawns += 1
-        backoff = self.pool.respawn_backoff * (2 ** self.worker_respawns[worker])
-        self.worker_respawns[worker] += 1
-        self.respawn_at[worker] = time.monotonic() + backoff
-        LOGGER.info("pool: respawning worker %d in %.2fs (respawn %d/%d)",
-                    worker, backoff, self.recovery.respawns,
-                    self.pool.max_respawns)
-
-    def _do_respawns(self) -> None:
+    def _do_respawns(self):
         now = time.monotonic()
         for worker, when in list(self.respawn_at.items()):
-            if when > now:
-                continue
-            del self.respawn_at[worker]
-            self._start_worker(worker)
-            self._dispatch(worker)
+            if when <= now:
+                del self.respawn_at[worker]
+                self._start_worker(worker)
+                yield worker, None, "up", None
 
     # -------------------------------------------------------------- #
-    def _shutdown(self) -> None:
+    def close(self) -> None:
         """Bounded teardown: one shared join deadline, pipes can't hang it.
 
         A failed solve must not stall the caller for 30 s × workers: every

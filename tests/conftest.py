@@ -9,6 +9,11 @@ from repro.grid.cases import load_case
 from repro.grid.synthetic import make_synthetic_grid
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: full-quality solves that take tens of seconds")
+
+
 @pytest.fixture(scope="session")
 def case3():
     return load_case("case3")

@@ -207,13 +207,6 @@ class TestZeroLengthLaunch:
             LoopBackend().launch_over_elements(
                 lambda a: np.float64(a.sum()), np.zeros(0))
 
-    def test_deprecated_python_loop_alias_fixed_too(self):
-        from repro.parallel.kernels import launch_over_elements
-
-        got = launch_over_elements(lambda a: 2 * a, np.zeros(0),
-                                   python_loop=True)
-        assert got.shape == (0,)
-
 
 # --------------------------------------------------------------------- #
 # End-to-end solver conformance                                          #

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.parallel import SimulatedDevice, elementwise_kernel, launch_over_elements
-from repro.parallel.kernels import scatter_add, segment_max, segment_sum
+from repro.parallel import LoopBackend, NumpyBackend, SimulatedDevice
+
+NUMPY = NumpyBackend()
+LOOP = LoopBackend()
 
 
 class TestSimulatedDevice:
@@ -73,22 +75,14 @@ class TestSimulatedDevice:
 
 
 class TestKernels:
-    def test_elementwise_decorator_marks_function(self):
-        @elementwise_kernel
-        def double(x):
-            return 2 * x
-
-        assert double.__elementwise__ is True
-        assert np.array_equal(double(np.arange(3)), np.array([0, 2, 4]))
-
     def test_launch_over_elements_matches_python_loop(self, rng):
         def kernel(a, b):
             return np.clip(a * b + 1.0, 0.0, 5.0)
 
         a = rng.normal(size=50)
         b = rng.normal(size=50)
-        vectorised = launch_over_elements(kernel, a, b)
-        looped = launch_over_elements(kernel, a, b, python_loop=True)
+        vectorised = NUMPY.launch_over_elements(kernel, a, b)
+        looped = LOOP.launch_over_elements(kernel, a, b)
         assert np.allclose(vectorised, looped)
 
     def test_launch_over_elements_tuple_outputs(self, rng):
@@ -96,57 +90,57 @@ class TestKernels:
             return np.sin(a), np.cos(a)
 
         a = rng.normal(size=20)
-        vec = launch_over_elements(kernel, a)
-        loop = launch_over_elements(kernel, a, python_loop=True)
+        vec = NUMPY.launch_over_elements(kernel, a)
+        loop = LOOP.launch_over_elements(kernel, a)
         assert np.allclose(vec[0], loop[0])
         assert np.allclose(vec[1], loop[1])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimensionError):
-            launch_over_elements(lambda a, b: a + b, np.zeros(3), np.zeros(4))
+            NUMPY.launch_over_elements(lambda a, b: a + b, np.zeros(3), np.zeros(4))
 
     def test_no_arrays_rejected(self):
         with pytest.raises(DimensionError):
-            launch_over_elements(lambda: np.zeros(1))
+            NUMPY.launch_over_elements(lambda: np.zeros(1))
 
     def test_segment_sum(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         ids = np.array([0, 1, 0, 2])
-        assert np.allclose(segment_sum(values, ids, 3), [4.0, 2.0, 4.0])
+        assert np.allclose(NUMPY.segment_sum(values, ids, 3), [4.0, 2.0, 4.0])
 
     def test_segment_sum_empty_segment(self):
-        out = segment_sum(np.array([1.0]), np.array([2]), 4)
+        out = NUMPY.segment_sum(np.array([1.0]), np.array([2]), 4)
         assert np.allclose(out, [0, 0, 1.0, 0])
 
     def test_scatter_add_accumulates_duplicates(self):
         target = np.zeros(3)
-        scatter_add(target, np.array([0, 0, 2]), np.array([1.0, 2.0, 5.0]))
+        NUMPY.scatter_add(target, np.array([0, 0, 2]), np.array([1.0, 2.0, 5.0]))
         assert np.allclose(target, [3.0, 0.0, 5.0])
 
     def test_segment_sum_single_segment_matches_global_sum(self, rng):
         values = rng.normal(size=17)
-        out = segment_sum(values, np.zeros(17, dtype=int), 1)
+        out = NUMPY.segment_sum(values, np.zeros(17, dtype=int), 1)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(values.sum())
 
     def test_segment_sum_all_segments_empty(self):
-        out = segment_sum(np.zeros(0), np.zeros(0, dtype=int), 3)
+        out = NUMPY.segment_sum(np.zeros(0), np.zeros(0, dtype=int), 3)
         assert np.array_equal(out, np.zeros(3))
 
     def test_segment_max(self):
         values = np.array([1.0, -2.0, 3.0, 0.5])
         ids = np.array([0, 1, 0, 1])
-        assert np.allclose(segment_max(values, ids, 2), [3.0, 0.5])
+        assert np.allclose(NUMPY.segment_max(values, ids, 2), [3.0, 0.5])
 
     def test_segment_max_empty_segment_gets_initial(self):
-        out = segment_max(np.array([-5.0]), np.array([1]), 3, initial=0.0)
+        out = NUMPY.segment_max(np.array([-5.0]), np.array([1]), 3, initial=0.0)
         assert np.allclose(out, [0.0, -5.0, 0.0])
 
     def test_segment_max_no_values(self):
-        out = segment_max(np.zeros(0), np.zeros(0, dtype=int), 2, initial=7.0)
+        out = NUMPY.segment_max(np.zeros(0), np.zeros(0, dtype=int), 2, initial=7.0)
         assert np.allclose(out, [7.0, 7.0])
 
     def test_segment_max_single_scenario_matches_global_max(self, rng):
         values = np.abs(rng.normal(size=23))
-        out = segment_max(values, np.zeros(23, dtype=int), 1)
+        out = NUMPY.segment_max(values, np.zeros(23, dtype=int), 1)
         assert out[0] == values.max()

@@ -28,7 +28,7 @@ from repro.parallel import DevicePool, FaultPlan, FaultSpec, PoolExecutionError
 from repro.parallel.faults import FAULT_PLAN_ENV, FaultCommand
 from repro.parallel.pool import (
     _Dispatch,
-    _ProcessRun,
+    _PoolRun,
     _StealScheduler,
     _pool_worker,
 )
@@ -236,31 +236,35 @@ class TestRecoverySequential:
         assert [f.kind for f in report.failures] == ["timeout"]
         assert report.respawns == 1 and report.retries >= 1
 
-    def test_stall_without_deadline_only_delays(self):
+    @pytest.mark.parametrize("executor, stall", [("sequential", 60.0),
+                                                 ("process", 0.5)])
+    def test_stall_without_deadline_only_delays(self, executor, stall):
         scenario_set = quick_batch(4)
         reference = repro.solve_acopf_admm_batch(scenario_set, params=QUICK)
-        plan = FaultPlan([FaultSpec("stall", worker=0, chunk=1, seconds=60)])
-        report = resilient_pool("sequential", plan).solve(scenario_set,
-                                                          params=QUICK)
+        plan = FaultPlan([FaultSpec("stall", worker=0, chunk=1, seconds=stall)])
+        report = resilient_pool(executor, plan).solve(scenario_set,
+                                                      params=QUICK)
         assert_solutions_identical(report.solutions, reference)
         assert report.failures == [] and report.retries == 0
-        # the simulated stall lands in the worker's busy-time accounting
-        assert report.makespan_seconds >= 60.0
+        # the stall lands in the worker's busy-time accounting
+        assert report.makespan_seconds >= stall
 
-    def test_seeded_plan_recovery_bitwise_identical(self):
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    def test_seeded_plan_recovery_bitwise_identical(self, executor):
         scenario_set = quick_batch(6)
         reference = repro.solve_acopf_admm_batch(scenario_set, params=QUICK)
         plan = FaultPlan.seeded(seed=3, rate=0.4)  # several transient raises
-        report = resilient_pool("sequential", plan, max_retries=20).solve(
+        report = resilient_pool(executor, plan, max_retries=20).solve(
             scenario_set, params=QUICK)
         assert_solutions_identical(report.solutions, reference)
         assert plan.n_fired == 0  # seeded draws don't count as spec firings
         assert report.retries >= 1
 
-    def test_poison_chunk_splits_to_isolate_scenario(self):
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    def test_poison_chunk_splits_to_isolate_scenario(self, executor):
         scenario_set = quick_batch(4)
         reference = repro.solve_acopf_admm_batch(scenario_set, params=QUICK)
-        pool = resilient_pool("sequential", None, chunk_scenarios=2,
+        pool = resilient_pool(executor, None, chunk_scenarios=2,
                               on_failure="partial", solve_fn=_fail_on_x09)
         report = pool.solve(scenario_set, params=QUICK)
         # only the poison scenario is lost; its chunk-mates solved on replay
@@ -295,10 +299,11 @@ class TestRecoverySequential:
         assert set(error.scenario_names) == {"case9@x0.8", "case9@x0.9"}
         assert "case9@x0.8" in str(error) and "case9@x0.9" in str(error)
 
-    def test_respawn_budget_exhaustion_loses_remaining_work(self):
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    def test_respawn_budget_exhaustion_loses_remaining_work(self, executor):
         scenario_set = quick_batch(3)
         plan = FaultPlan([FaultSpec("crash", times=100)])  # every dispatch dies
-        pool = resilient_pool("sequential", plan, max_respawns=1,
+        pool = resilient_pool(executor, plan, max_respawns=1,
                               max_retries=100, on_failure="partial")
         report = pool.solve(scenario_set, params=QUICK)
         assert set(report.failed_scenarios) == {0, 1, 2}
@@ -408,36 +413,44 @@ class TestRecoveryProcess:
 # Late-arriving-result race + worker-loop protocol                        #
 # --------------------------------------------------------------------- #
 class _FakeProcess:
-    """Stand-in for a dead multiprocessing.Process."""
+    """Stand-in for a multiprocessing.Process that is never started."""
 
     exitcode = -9
 
+    def __init__(self, alive: bool) -> None:
+        self.alive = alive
+
     def is_alive(self) -> bool:
-        return False
+        return self.alive
 
     def terminate(self) -> None:
         pass
 
+    def join(self, timeout=None) -> None:
+        pass
+
 
 class TestLateResultRace:
-    def _make_run(self, scenario_set) -> _ProcessRun:
+    def _make_run(self, scenario_set, shards=([0], [1]), alive=(False, True),
+                  **options) -> _PoolRun:
+        """A process-executor run whose workers are this test's pipe ends."""
         pool = DevicePool(n_workers=2, executor="process",
-                          chunk_scenarios=1, on_failure="retry")
-        scheduler = _StealScheduler([[0], [1]], scenario_set.costs("cost"),
+                          chunk_scenarios=1, on_failure="retry", **options)
+        scheduler = _StealScheduler(shards, scenario_set.costs("cost"),
                                     chunk_scenarios=1, steal_threshold=1)
-        run = _ProcessRun(pool, scenario_set, QUICK, None, scheduler, 2, None)
+        run = _PoolRun(pool, scenario_set, QUICK, None, scheduler, 2)
         pipes = [multiprocessing.Pipe(duplex=True) for _ in range(2)]
-        run.conns = [parent for parent, _ in pipes]
+        run.transport.conns = [parent for parent, _ in pipes]
         self.worker_conns = [child for _, child in pipes]
-        run.processes = [_FakeProcess(), _FakeProcess()]
+        run.transport.processes = [_FakeProcess(a) for a in alive]
         return run
 
     def test_stale_result_is_dropped(self):
         scenario_set = quick_batch(2)
         run = self._make_run(scenario_set)
         run.outstanding[0] = _Dispatch(tag=7, indices=(0,), origin=0,
-                                       stolen=False, attempt=0, deadline=None)
-        run._handle_result(0, 3, "ok", object())  # tag mismatch: stale
+                                       stolen=False, attempt=0)
+        run._handle(0, 3, "ok", object())  # tag mismatch: stale
         assert run.outstanding[0].tag == 7
         assert run.solutions == [None, None]
         assert run.recovery.failures == []
@@ -452,22 +465,44 @@ class TestLateResultRace:
         result = solve_scenario_shard(task)  # the result the worker buffered
 
         # the liveness poll declares worker 0 dead before the result drains
-        run._check_liveness()
+        for event in run.transport._check_liveness():
+            run._handle(*event)
         assert 0 not in run.outstanding
         assert run.recovery.failures[0].kind == "death"
         assert run.recovery.retries == 1
 
         # ... now the buffered result arrives: it must be dropped
-        run._handle_result(0, tag, "ok", result)
+        run._handle(0, tag, "ok", result)
         assert run.solutions[0] is None
 
         # and the replayed chunk is served to a surviving worker, solving
         # to the bitwise-identical solution
         assert run.scheduler.next_chunk(1) == ((0,), 0, False)
-        replay = solve_scenario_shard(
-            run.pool._make_task(scenario_set, QUICK, None, (0,), 1, None))
+        replay = solve_scenario_shard(run._task((0,), 1))
         assert np.array_equal(replay.solutions[0].vm, result.solutions[0].vm)
         assert np.array_equal(replay.solutions[0].pg, result.solutions[0].pg)
+
+    @pytest.mark.parametrize("max_respawns", [2, 0])
+    def test_idle_worker_death_is_a_loss(self, max_respawns):
+        # worker 1 dies while parked and worker 0 is busy; replay work that
+        # appears later must not be sent down the dead worker's retired pipe
+        scenario_set = quick_batch(2)
+        run = self._make_run(scenario_set, shards=([0], []), alive=(True, True),
+                             max_respawns=max_respawns)
+        run._dispatch(0)
+        run._dispatch(1)
+        assert run.parked == {1} and set(run.outstanding) == {0}
+        self.worker_conns[1].close()
+        for event in run.transport.events():
+            run._handle(*event)
+        run.scheduler.requeue((1,), 0)
+        run._feed_parked()
+
+        assert not run.parked and set(run.outstanding) == {0}
+        assert run.recovery.failures == []  # an idle worker loses no chunk
+        assert run.recovery.respawns == min(1, max_respawns)
+        assert (1 in run.restarting) == (max_respawns > 0)
+        assert run.scheduler.next_chunk(0) == ((1,), 0, False)
 
     def test_pool_worker_reports_non_exception_exit_cleanly(self):
         parent, child = multiprocessing.Pipe(duplex=True)
